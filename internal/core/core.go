@@ -532,7 +532,6 @@ func buildSolution(tree *ft.Tree, steps *Steps, res maxsat.Result, report portfo
 		return nil, fmt.Errorf("core: reverse transform mismatch: exp(−Σw)=%v, ∏p=%v", fromLog, probability)
 	}
 
-	stats := tree.Stats()
 	solution := &Solution{
 		Tree:        tree.Name(),
 		Method:      "Weighted Partial MaxSAT",
@@ -542,8 +541,8 @@ func buildSolution(tree *ft.Tree, steps *Steps, res maxsat.Result, report portfo
 		Solver:      winner,
 		Status:      res.Status.String(),
 		Stats: SolutionStats{
-			Events:      stats.Events,
-			Gates:       stats.Gates,
+			Events:      tree.NumEvents(),
+			Gates:       tree.NumGates(),
 			Vars:        steps.Instance.NumVars,
 			HardClauses: len(steps.Instance.Hard),
 			SoftClauses: len(steps.Instance.Soft),
@@ -569,7 +568,8 @@ func buildSolution(tree *ft.Tree, steps *Steps, res maxsat.Result, report portfo
 // minimizeCutSet greedily removes unnecessary events; for coherent
 // trees the result is a minimal cut set. MaxSAT optima are already
 // minimal whenever every event has positive weight, so this is a cheap
-// defensive pass that also covers free (p=1) events.
+// defensive pass that also covers free (p=1) events. The tree must be
+// valid: buildSteps validated it before encoding.
 func minimizeCutSet(tree *ft.Tree, failed map[string]bool) []string {
 	ids := make([]string, 0, len(failed))
 	for id, isFailed := range failed {
@@ -583,8 +583,7 @@ func minimizeCutSet(tree *ft.Tree, failed map[string]bool) []string {
 			continue
 		}
 		failed[id] = false
-		still, err := tree.Eval(failed)
-		if err != nil || !still {
+		if !tree.EvalValidated(failed) {
 			failed[id] = true
 		}
 	}

@@ -162,9 +162,8 @@ func composeSolution(tree *ft.Tree, plan *decomp.Plan, outcome *decomp.Outcome, 
 		agg.SoftClauses += sol.SoftClauses
 		agg.Solver.Add(sol.Stats)
 	}
-	stats := tree.Stats()
-	agg.Events = stats.Events
-	agg.Gates = stats.Gates
+	agg.Events = tree.NumEvents()
+	agg.Gates = tree.NumGates()
 
 	solution := &Solution{
 		Tree:        tree.Name(),

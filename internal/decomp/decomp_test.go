@@ -13,6 +13,7 @@ import (
 
 	"mpmcs4fta/internal/decomp"
 	"mpmcs4fta/internal/ft"
+	"mpmcs4fta/internal/gen"
 	"mpmcs4fta/internal/obs"
 	"mpmcs4fta/internal/sched"
 )
@@ -400,5 +401,92 @@ func TestExpandNested(t *testing.T) {
 	want := "i1,i2,i3,i4,o1,o2,o3,o4"
 	if strings.Join(got, ",") != want {
 		t.Fatalf("expanded = %v, want %s", got, want)
+	}
+}
+
+// subtreeEvents counts the distinct real events under root with a
+// fresh walk: the per-module reference for BuildPlan's single pass.
+func subtreeEvents(t *ft.Tree, root string) int {
+	seen := make(map[string]bool)
+	var walk func(id string) int
+	walk = func(id string) int {
+		if seen[id] {
+			return 0
+		}
+		seen[id] = true
+		g := t.Gate(id)
+		if g == nil {
+			return 1
+		}
+		n := 0
+		for _, in := range g.Inputs {
+			n += walk(in)
+		}
+		return n
+	}
+	return walk(root)
+}
+
+// TestBuildPlanSelectionMatchesPerModuleCount checks BuildPlan on
+// seeded random and modular trees: the plan nodes are exactly the top
+// plus the modules whose subtree holds at least MinEvents events,
+// every quotient is a valid tree whose real events add up to the
+// original's, and no event appears in two quotients.
+func TestBuildPlanSelectionMatchesPerModuleCount(t *testing.T) {
+	var trees []*ft.Tree
+	for seed := int64(1); seed <= 40; seed++ {
+		r, err := gen.Random(gen.Config{Events: 20 + int(seed)*3, MaxFanIn: 2 + int(seed%4), NoSharing: seed%3 == 0, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := gen.Modular(gen.ModularConfig{Modules: 2 + int(seed%5), EventsPerModule: 4 + int(seed%15), VotingFrac: 0.2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, r, m)
+	}
+	for _, tree := range trees {
+		modules, err := tree.Modules()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, minEvents := range []int{1, 4, decomp.DefaultMinEvents} {
+			plan, err := decomp.BuildPlan(tree, decomp.Options{MinEvents: minEvents})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for _, id := range modules {
+				if id == tree.Top() || subtreeEvents(tree, id) >= minEvents {
+					want = append(want, id)
+				}
+			}
+			var got []string
+			for id := range plan.Nodes {
+				got = append(got, id)
+			}
+			sort.Strings(got)
+			if strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Fatalf("%s min %d: plan nodes %v, want %v", tree.Name(), minEvents, got, want)
+			}
+			owner := make(map[string]string)
+			for id, n := range plan.Nodes {
+				if err := n.Tree.Validate(); err != nil {
+					t.Fatalf("%s min %d: quotient %s invalid: %v", tree.Name(), minEvents, id, err)
+				}
+				for _, e := range n.Tree.Events() {
+					if plan.Nodes[e.ID] != nil {
+						continue // pseudo-event
+					}
+					if prev, dup := owner[e.ID]; dup {
+						t.Fatalf("%s min %d: event %s in quotients %s and %s", tree.Name(), minEvents, e.ID, prev, id)
+					}
+					owner[e.ID] = id
+				}
+			}
+			if total := subtreeEvents(tree, tree.Top()); plan.TotalEvents != total || len(owner) != total {
+				t.Fatalf("%s min %d: TotalEvents %d, %d owned, want %d", tree.Name(), minEvents, plan.TotalEvents, len(owner), total)
+			}
+		}
 	}
 }

@@ -88,60 +88,64 @@ func (p *Plan) Trivial() bool { return p == nil || len(p.Nodes) < 2 }
 // returned plan is Trivial when the tree has no proper module meeting
 // opts.MinEvents — the caller then falls back to one monolithic solve.
 func BuildPlan(t *ft.Tree, opts Options) (*Plan, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
 	minEvents := opts.MinEvents
 	if minEvents < 1 {
 		minEvents = DefaultMinEvents
 	}
 
+	// Modules validates the tree; nothing below validates again.
 	modules, err := t.Modules()
 	if err != nil {
 		return nil, err
 	}
-
-	// Count real events in each module's subtree (shared nodes inside a
-	// module counted once).
-	subtreeEvents := func(root string) int {
-		seen := make(map[string]bool)
-		count := 0
-		var walk func(id string)
-		walk = func(id string) {
-			if seen[id] {
-				return
-			}
-			seen[id] = true
-			g := t.Gate(id)
-			if g == nil {
-				count++
-				return
-			}
-			for _, in := range g.Inputs {
-				walk(in)
-			}
-		}
-		walk(root)
-		return count
+	isModule := make(map[string]bool, len(modules))
+	for _, id := range modules {
+		isModule[id] = true
 	}
+
+	// Count real events in every module's subtree (shared nodes counted
+	// once) in one pass from the top. A module's subtree is entered
+	// only through the module, so no node of it is seen before the walk
+	// reaches the module, and everything first seen below it is its own.
+	events := make(map[string]int, len(modules))
+	seen := make(map[string]bool, t.NumGates()+t.NumEvents())
+	var count func(id string) int
+	count = func(id string) int {
+		if seen[id] {
+			return 0
+		}
+		seen[id] = true
+		g := t.Gate(id)
+		if g == nil {
+			return 1
+		}
+		n := 0
+		for _, in := range g.Inputs {
+			n += count(in)
+		}
+		if isModule[id] {
+			events[id] = n
+		}
+		return n
+	}
+	count(t.Top())
 
 	// Select the modules that become plan nodes: the top always, proper
 	// modules only when their whole subtree is big enough to pay for a
 	// separate solve.
 	selected := map[string]bool{t.Top(): true}
 	for _, id := range modules {
-		if id == t.Top() {
-			continue
-		}
-		if subtreeEvents(id) >= minEvents {
+		if events[id] >= minEvents {
 			selected[id] = true
 		}
 	}
 
 	plan := &Plan{Nodes: make(map[string]*PlanNode), Root: t.Top()}
 	// Build quotient nodes from the top down; buildNode recurses into
-	// the selected modules it turns into pseudo-events.
-	if err := buildNode(t, t.Top(), "", selected, plan); err != nil {
+	// the selected modules it turns into pseudo-events. The regions the
+	// quotients copy are disjoint, so one seen set serves them all.
+	clear(seen)
+	if err := buildNode(t, t.Top(), "", selected, seen, plan); err != nil {
 		return nil, err
 	}
 	// Bottom-up order by post-order over the child DAG.
@@ -161,14 +165,15 @@ func BuildPlan(t *ft.Tree, opts Options) (*Plan, error) {
 
 // buildNode constructs the quotient tree rooted at the module gate
 // root, descending into nested selected modules as separate nodes.
-func buildNode(t *ft.Tree, root, parent string, selected map[string]bool, plan *Plan) error {
+// seen holds the nodes already copied into some quotient; root itself
+// is in it when the parent quotient has just made it a pseudo-event.
+func buildNode(t *ft.Tree, root, parent string, selected, seen map[string]bool, plan *Plan) error {
 	node := &PlanNode{ID: root, Parent: parent, Tree: ft.New(t.Name() + "/" + root)}
 	plan.Nodes[root] = node
 
-	seen := make(map[string]bool)
 	var copyNode func(id string) error
 	copyNode = func(id string) error {
-		if seen[id] {
+		if id != root && seen[id] {
 			return nil
 		}
 		seen[id] = true
@@ -180,7 +185,7 @@ func buildNode(t *ft.Tree, root, parent string, selected map[string]bool, plan *
 			if err := node.Tree.AddEvent(id, pseudoProbPlaceholder); err != nil {
 				return err
 			}
-			return buildNode(t, id, root, selected, plan)
+			return buildNode(t, id, root, selected, seen, plan)
 		}
 		if e := t.Event(id); e != nil {
 			node.Events++
@@ -197,12 +202,9 @@ func buildNode(t *ft.Tree, root, parent string, selected map[string]bool, plan *
 	if err := copyNode(root); err != nil {
 		return fmt.Errorf("decomp: quotient for module %q: %w", root, err)
 	}
+	// A module's subtree is self-contained, so the quotient is valid
+	// by construction; its solve validates it once before encoding.
 	node.Tree.SetTop(root)
-	if err := node.Tree.Validate(); err != nil {
-		// Modules() guarantees the subtree is self-contained; a failure
-		// here means the module contract broke.
-		return fmt.Errorf("decomp: quotient for module %q is invalid: %w", root, err)
-	}
 	sort.Strings(node.Children)
 	return nil
 }

@@ -266,6 +266,24 @@ func (t *Tree) Validate() error {
 }
 
 func (t *Tree) checkAcyclic() error {
+	// Insertion order (which lists every gate) settles whether a cycle
+	// exists without sorting. Only then is the search repeated from the
+	// sorted ids, so the error names the same gate whatever the order.
+	if t.findCycle(t.order) == nil {
+		return nil
+	}
+	ids := make([]string, 0, len(t.gates))
+	for id := range t.gates {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return t.findCycle(ids)
+}
+
+// findCycle runs the cycle-detecting DFS from each of ids in turn, so
+// cycles in unreachable islands are caught, and returns the first
+// cycle found.
+func (t *Tree) findCycle(ids []string) error {
 	const (
 		inProgress = 1
 		done       = 2
@@ -292,12 +310,6 @@ func (t *Tree) checkAcyclic() error {
 		state[id] = done
 		return nil
 	}
-	// Check from every gate so cycles in unreachable islands are caught.
-	ids := make([]string, 0, len(t.gates))
-	for id := range t.gates {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	for _, id := range ids {
 		if err := visit(id); err != nil {
 			return err
@@ -313,8 +325,17 @@ func (t *Tree) Eval(failed map[string]bool) (bool, error) {
 	if err := t.Validate(); err != nil {
 		return false, err
 	}
+	return t.EvalValidated(failed), nil
+}
+
+// EvalValidated is Eval without the validation pass, for callers that
+// evaluate one tree many times (cut-set minimisation evaluates it once
+// per cut-set member). The tree must already have passed Validate and
+// must not have changed shape since; on an invalid tree the result is
+// undefined.
+func (t *Tree) EvalValidated(failed map[string]bool) bool {
 	memo := make(map[string]bool, len(t.gates))
-	return t.evalNode(t.top, failed, memo), nil
+	return t.evalNode(t.top, failed, memo)
 }
 
 func (t *Tree) evalNode(id string, failed map[string]bool, memo map[string]bool) bool {

@@ -2,6 +2,7 @@ package ft
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -161,6 +162,25 @@ func TestValidateErrors(t *testing.T) {
 		tree.SetTop("a")
 		if err := tree.Validate(); !errors.Is(err, ErrCycle) {
 			t.Errorf("got %v", err)
+		}
+	})
+	t.Run("cycle named from sorted ids", func(t *testing.T) {
+		// Inserted b before a: the search from sorted ids still starts
+		// at a and names it, whatever the insertion order.
+		tree := New("t")
+		if err := tree.AddOr("top", "b"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.AddOr("b", "a"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.AddOr("a", "b"); err != nil {
+			t.Fatal(err)
+		}
+		tree.SetTop("top")
+		err := tree.Validate()
+		if !errors.Is(err, ErrCycle) || !strings.Contains(err.Error(), `through gate "a"`) {
+			t.Errorf("got %v, want a cycle through gate \"a\"", err)
 		}
 	})
 	t.Run("self loop", func(t *testing.T) {

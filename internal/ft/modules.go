@@ -1,98 +1,101 @@
 package ft
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Modules returns the ids of gates that are modules: gates whose entire
 // subtree (gates and events alike) is reachable from the top only
 // through them. Modules are independent subsystems — the classical
-// prerequisite for divide-and-conquer fault-tree analysis (Dutuit &
-// Rauzy). The top gate is always a module. Nodes unreachable from the
-// top are ignored. The tree must be valid.
+// prerequisite for divide-and-conquer fault-tree analysis. The top gate
+// is always a module. Nodes unreachable from the top are ignored.
+//
+// Detection is the linear-time algorithm of Dutuit & Rauzy (1996). One
+// depth-first pass from the top dates every visit of every node; a node
+// reached again through another parent is not re-expanded, only its
+// last visit date moves. A second, memoised pass takes the minimum
+// first date and the maximum last date over each gate's strict
+// descendants. Every visit made while a gate is on the DFS stack lands
+// in its subtree, so the gate is a module iff all visits to its
+// descendants fall strictly between its own first and exit dates.
 func (t *Tree) Modules() ([]string, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 
-	// Index reachable nodes.
-	index := make(map[string]int)
-	var orderIDs []string
-	var collect func(id string)
-	collect = func(id string) {
-		if _, seen := index[id]; seen {
-			return
-		}
-		index[id] = len(orderIDs)
-		orderIDs = append(orderIDs, id)
-		if g, ok := t.gates[id]; ok {
-			for _, in := range g.Inputs {
-				collect(in)
-			}
-		}
+	// node is one reachable node; inputs occupy kids[kid:kid+len(Inputs)].
+	type node struct {
+		gate              *Gate // nil for events
+		first, last, exit int
+		kid               int
 	}
-	collect(t.top)
+	n := len(t.gates) + len(t.events)
+	index := make(map[string]int, n)
+	nodes := make([]node, 0, n)
+	var (
+		kids []int // input node indices, grouped by gate
+		post []int // gates in DFS exit order
+		date int
+	)
+	visit := func(id string) (idx int, fresh bool) {
+		date++
+		if i, ok := index[id]; ok {
+			nodes[i].last = date
+			return i, false
+		}
+		idx = len(nodes)
+		index[id] = idx
+		nd := node{gate: t.gates[id], first: date, last: date, exit: date}
+		if nd.gate != nil {
+			nd.kid = len(kids)
+			kids = append(kids, make([]int, len(nd.gate.Inputs))...)
+		}
+		nodes = append(nodes, nd)
+		return idx, true
+	}
 
-	// Parent lists over reachable nodes.
-	parents := make([][]int, len(orderIDs))
-	for id, idx := range index {
-		g, ok := t.gates[id]
-		if !ok {
+	// Pass 1: iterative DFS (deep chains must not grow the call stack).
+	type frame struct{ node, next int }
+	root, _ := visit(t.top)
+	stack := []frame{{node: root}}
+	for len(stack) > 0 {
+		f := &stack[len(stack)-1]
+		nd := &nodes[f.node]
+		if f.next == len(nd.gate.Inputs) {
+			date++
+			nd.exit = date
+			post = append(post, f.node)
+			stack = stack[:len(stack)-1]
 			continue
 		}
-		for _, in := range g.Inputs {
-			childIdx := index[in]
-			parents[childIdx] = append(parents[childIdx], idx)
+		in, slot := nd.gate.Inputs[f.next], nd.kid+f.next
+		f.next++
+		child, fresh := visit(in) // may grow nodes: nd is stale below
+		kids[slot] = child
+		if fresh && nodes[child].gate != nil {
+			stack = append(stack, frame{node: child})
 		}
 	}
 
-	// desc[i] = bitset of reachable nodes in i's subtree (including i).
-	words := (len(orderIDs) + 63) / 64
-	desc := make([][]uint64, len(orderIDs))
-	var fill func(id string) []uint64
-	fill = func(id string) []uint64 {
-		idx := index[id]
-		if desc[idx] != nil {
-			return desc[idx]
-		}
-		set := make([]uint64, words)
-		set[idx/64] |= 1 << uint(idx%64)
-		desc[idx] = set // placed before recursion; DAG is acyclic so safe
-		if g, ok := t.gates[id]; ok {
-			for _, in := range g.Inputs {
-				child := fill(in)
-				for w := range set {
-					set[w] |= child[w]
-				}
-			}
-		}
-		return set
-	}
-	fill(t.top)
-
-	contains := func(set []uint64, idx int) bool {
-		return set[idx/64]&(1<<uint(idx%64)) != 0
-	}
-
+	// Pass 2: descendant date ranges, children before parents.
+	minDesc := make([]int, len(nodes))
+	maxDesc := make([]int, len(nodes))
 	var modules []string
-	for id := range t.gates {
-		idx, reachable := index[id]
-		if !reachable {
-			continue
-		}
-		isModule := true
-		set := desc[idx]
-		for childIdx := 0; childIdx < len(orderIDs) && isModule; childIdx++ {
-			if childIdx == idx || !contains(set, childIdx) {
-				continue
-			}
-			for _, parent := range parents[childIdx] {
-				if !contains(set, parent) {
-					isModule = false
-					break
-				}
+	for _, i := range post {
+		nd := &nodes[i]
+		lo, hi := math.MaxInt, 0
+		for _, c := range kids[nd.kid : nd.kid+len(nd.gate.Inputs)] {
+			lo = min(lo, nodes[c].first)
+			hi = max(hi, nodes[c].last)
+			if nodes[c].gate != nil {
+				lo = min(lo, minDesc[c])
+				hi = max(hi, maxDesc[c])
 			}
 		}
-		if isModule {
-			modules = append(modules, id)
+		minDesc[i], maxDesc[i] = lo, hi
+		if nd.first < lo && hi < nd.exit {
+			modules = append(modules, nd.gate.ID)
 		}
 	}
 	sort.Strings(modules)

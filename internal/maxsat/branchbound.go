@@ -14,9 +14,13 @@ import (
 // BranchBound is a dedicated branch-and-bound Weighted Partial MaxSAT
 // engine: depth-first search over the instance variables with unit
 // propagation on the hard clauses and pruning by the weight of soft
-// clauses already fully falsified. It needs no SAT oracle at all, which
-// makes it a usefully different portfolio member — strong on small and
-// highly-constrained instances, weak on large under-constrained ones.
+// clauses already fully falsified. Propagation reads per-literal
+// occurrence lists of the hard clauses: the root checks every clause
+// once, and each later node revisits only the clauses in which its
+// newly assigned variables falsified a literal. It needs no SAT oracle
+// at all, which makes it a usefully different portfolio member —
+// strong on small and highly-constrained instances, weak on large
+// under-constrained ones.
 //
 // Run cooperatively (SolveWithProgress), the engine also prunes against
 // the global incumbent published by sibling engines and publishes its
@@ -30,8 +34,10 @@ func (b *BranchBound) Name() string { return "branch-bound" }
 
 type bbState struct {
 	inst     *cnf.WCNF
-	assign   []int8 // 0 unassigned, 1 true, -1 false; by variable
-	order    []int  // variable branching order
+	assign   []int8  // 0 unassigned, 1 true, -1 false; by variable
+	order    []int   // variable branching order
+	occurs   [][]int // hard clause indices by literal (see litIndex)
+	trail    []int   // variables assigned by propagation, all nodes
 	best     []bool
 	bestCost int64
 	steps    int64
@@ -92,8 +98,14 @@ func (b *BranchBound) SolveWithProgress(ctx context.Context, inst *cnf.WCNF, pro
 	sort.SliceStable(st.order, func(i, j int) bool {
 		return weightOf[st.order[i]] > weightOf[st.order[j]]
 	})
+	st.occurs = make([][]int, 2*(inst.NumVars+1))
+	for ci, clause := range inst.Hard {
+		for _, l := range clause {
+			st.occurs[litIndex(l)] = append(st.occurs[litIndex(l)], ci)
+		}
+	}
 
-	if err := st.search(ctx, 0); err != nil {
+	if err := st.search(ctx, 0, 0); err != nil {
 		if st.best == nil {
 			return Result{Stats: st.stats}, err
 		}
@@ -166,9 +178,10 @@ func (st *bbState) pruneBound() int64 {
 	return pb
 }
 
-// search explores assignments to order[depth:]; assign holds the current
-// partial assignment.
-func (st *bbState) search(ctx context.Context, depth int) error {
+// search explores the extensions of the current partial assignment,
+// in which branch (0 at the root) is the variable the parent has just
+// decided and order[:from] is already assigned.
+func (st *bbState) search(ctx context.Context, branch, from int) error {
 	st.steps++
 	if st.steps&511 == 0 {
 		if err := ctx.Err(); err != nil {
@@ -185,27 +198,19 @@ func (st *bbState) search(ctx context.Context, depth int) error {
 		st.maybeHeartbeat()
 	}
 
-	// Unit propagation on hard clauses; trail records for undo.
-	var trail []int
+	// Unit propagation on hard clauses; the trail above mark is undone
+	// on every return.
+	mark := len(st.trail)
 	undo := func() {
-		for _, v := range trail {
+		for _, v := range st.trail[mark:] {
 			st.assign[v] = 0
 		}
+		st.trail = st.trail[:mark]
 	}
-	//lint:ignore ctxpoll the fixpoint assigns at least one variable per iteration, bounded by the variable count; ctx is polled per search node
-	for {
-		unitVar, unitVal, conflict := st.findHardUnit()
-		if conflict {
-			st.stats.Conflicts++
-			undo()
-			return nil
-		}
-		if unitVar == 0 {
-			break
-		}
-		st.assign[unitVar] = unitVal
-		st.stats.Propagations++
-		trail = append(trail, unitVar)
+	if st.propagate(branch, mark) {
+		st.stats.Conflicts++
+		undo()
+		return nil
 	}
 
 	// Prune when already no better than the best incumbent (ours or a
@@ -222,14 +227,14 @@ func (st *bbState) search(ctx context.Context, depth int) error {
 	}
 
 	// Next unassigned variable in branching order.
-	branch := 0
-	for _, v := range st.order {
-		if st.assign[v] == 0 {
-			branch = v
+	next := 0
+	for ; from < len(st.order); from++ {
+		if v := st.order[from]; st.assign[v] == 0 {
+			next = v
 			break
 		}
 	}
-	if branch == 0 {
+	if next == 0 {
 		// Complete assignment; hard clauses hold by propagation above.
 		cost := st.falsifiedWeight()
 		if st.bestCost < 0 || cost < st.bestCost {
@@ -248,58 +253,102 @@ func (st *bbState) search(ctx context.Context, depth int) error {
 	}
 
 	for _, val := range [2]int8{1, -1} {
-		st.assign[branch] = val
+		st.assign[next] = val
 		st.stats.Decisions++
-		if err := st.search(ctx, depth+1); err != nil {
-			st.assign[branch] = 0
+		if err := st.search(ctx, next, from+1); err != nil {
+			st.assign[next] = 0
 			undo()
 			return err
 		}
 	}
-	st.assign[branch] = 0
+	st.assign[next] = 0
 	undo()
 	return nil
 }
 
-// findHardUnit scans hard clauses for a unit or a conflict.
-func (st *bbState) findHardUnit() (unitVar int, unitVal int8, conflict bool) {
-	for _, clause := range st.inst.Hard {
-		satisfied := false
-		unassigned := 0
-		var candidate cnf.Lit
-		for _, l := range clause {
-			switch st.assign[l.Var()] {
-			case 0:
-				unassigned++
-				candidate = l
-			case 1:
-				if l.Pos() {
-					satisfied = true
-				}
-			case -1:
-				if !l.Pos() {
-					satisfied = true
-				}
-			}
-			if satisfied {
-				break
+// litIndex maps a literal to its slot in occurs.
+func litIndex(l cnf.Lit) int {
+	if l.Pos() {
+		return 2 * l.Var()
+	}
+	return 2*l.Var() + 1
+}
+
+// falseLit is the literal of v that v's current value falsifies, as an
+// occurs index.
+func (st *bbState) falseLit(v int) int {
+	if st.assign[v] == 1 {
+		return 2*v + 1
+	}
+	return 2 * v
+}
+
+// propagate runs unit propagation to its fixpoint, pushing implied
+// variables onto the trail, and reports a conflict. The assignment
+// before branch was decided is a fixpoint (no hard clause unit or
+// falsified), so only clauses in which branch, or a variable implied
+// after it, falsified a literal need a look; at the root (branch 0)
+// every clause is checked once.
+func (st *bbState) propagate(branch, mark int) (conflict bool) {
+	if branch == 0 {
+		for ci := range st.inst.Hard {
+			if st.checkClause(ci) {
+				return true
 			}
 		}
-		if satisfied {
-			continue
-		}
-		switch unassigned {
-		case 0:
-			return 0, 0, true
-		case 1:
-			val := int8(-1)
-			if candidate.Pos() {
-				val = 1
-			}
-			return candidate.Var(), val, false
+	} else if st.checkAll(st.occurs[st.falseLit(branch)]) {
+		return true
+	}
+	for i := mark; i < len(st.trail); i++ {
+		if st.checkAll(st.occurs[st.falseLit(st.trail[i])]) {
+			return true
 		}
 	}
-	return 0, 0, false
+	return false
+}
+
+func (st *bbState) checkAll(clauses []int) (conflict bool) {
+	for _, ci := range clauses {
+		if st.checkClause(ci) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkClause reports whether hard clause ci is falsified; when it is
+// unit, it assigns the remaining literal and pushes it on the trail.
+func (st *bbState) checkClause(ci int) (conflict bool) {
+	unassigned := 0
+	var candidate cnf.Lit
+	for _, l := range st.inst.Hard[ci] {
+		switch st.assign[l.Var()] {
+		case 0:
+			unassigned++
+			candidate = l
+		case 1:
+			if l.Pos() {
+				return false
+			}
+		case -1:
+			if !l.Pos() {
+				return false
+			}
+		}
+	}
+	switch unassigned {
+	case 0:
+		return true
+	case 1:
+		v := candidate.Var()
+		st.assign[v] = -1
+		if candidate.Pos() {
+			st.assign[v] = 1
+		}
+		st.stats.Propagations++
+		st.trail = append(st.trail, v)
+	}
+	return false
 }
 
 // falsifiedWeight sums the weights of soft clauses every literal of

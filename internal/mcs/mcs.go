@@ -227,11 +227,8 @@ func IsMinimalCutSet(t *ft.Tree, set []string) (bool, error) {
 	}
 	for _, id := range norm {
 		failed[id] = false
-		still, err := t.Eval(failed)
+		still := t.EvalValidated(failed) // IsCutSet validated t
 		failed[id] = true
-		if err != nil {
-			return false, err
-		}
 		if still {
 			return false, nil
 		}

@@ -201,7 +201,12 @@ func (s *Solver) AddVars(n int) int {
 	return s.numVars
 }
 
+// growTo extends the variable range to numVars. Only the new range
+// enters the order heap: every older unassigned variable is already
+// there, since the heap drops a variable only once it is assigned or
+// about to be decided, and cancelUntil re-inserts it on unassignment.
 func (s *Solver) growTo(numVars int) {
+	old := s.numVars
 	for s.numVars < numVars {
 		s.assigns = append(s.assigns, lUndef)
 		s.level = append(s.level, 0)
@@ -218,10 +223,8 @@ func (s *Solver) growTo(numVars int) {
 		s.levelStamp = append(s.levelStamp, 0)
 	}
 	s.order.grow(s.numVars, s.activity)
-	for v := 0; v < s.numVars; v++ {
-		if s.assigns[v] == lUndef {
-			s.order.insert(v)
-		}
+	for v := old; v < s.numVars; v++ {
+		s.order.insert(v)
 	}
 }
 
@@ -1226,6 +1229,9 @@ func (s *Solver) search(ctx context.Context, conflictLimit int64) (Status, error
 			// propagation rounds — poll cancellation here too.
 			if s.stats.Decisions&1023 == 0 {
 				if err := ctx.Err(); err != nil {
+					// next left the heap undecided; put it back so the
+					// heap still holds every unassigned variable.
+					s.order.insert(next.variable())
 					return Unknown, fmt.Errorf("%w: %w", ErrInterrupted, err)
 				}
 				s.maybeHeartbeat()
