@@ -23,6 +23,7 @@ import (
 
 	"mpmcs4fta/internal/boolexpr"
 	"mpmcs4fta/internal/cnf"
+	"mpmcs4fta/internal/decomp"
 	"mpmcs4fta/internal/fp"
 	"mpmcs4fta/internal/ft"
 	"mpmcs4fta/internal/maxsat"
@@ -66,7 +67,9 @@ func noAnswerErr(ctx context.Context) error {
 // Options configures the pipeline. The zero value selects defaults.
 type Options struct {
 	// Engines is the Step-5 portfolio; nil selects
-	// portfolio.DefaultEngines().
+	// portfolio.DefaultEngines(). The first engine leads: in the
+	// parallel race it runs alone for a short slice, and the others
+	// start only if it has not finished by then (see portfolio.Solve).
 	Engines []portfolio.Engine
 	// Sequential runs the engines one at a time (deterministic winner,
 	// useful for tests and per-engine benchmarking).
@@ -322,7 +325,13 @@ func (s *Solution) CutSetIDs() []string {
 // Analyze computes the MPMCS of the tree via the full six-step
 // pipeline.
 func Analyze(ctx context.Context, tree *ft.Tree, opts Options) (*Solution, error) {
-	opts = opts.withDefaults()
+	return analyzePlanned(ctx, tree, opts.withDefaults(), nil)
+}
+
+// analyzePlanned is Analyze for defaulted options and an optional
+// decomposition plan the caller has already built for the tree; a nil
+// plan is built here, as Analyze does.
+func analyzePlanned(ctx context.Context, tree *ft.Tree, opts Options, plan *decomp.Plan) (*Solution, error) {
 	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
@@ -334,7 +343,10 @@ func Analyze(ctx context.Context, tree *ft.Tree, opts Options) (*Solution, error
 	if root.Recording() {
 		root.SetString("tree", tree.Name())
 	}
-	if plan := decompositionPlan(tree, opts); plan != nil {
+	if plan == nil {
+		plan = decompositionPlan(tree, opts)
+	}
+	if plan != nil {
 		solution, err := analyzeDecomposed(ctx, tree, plan, opts, root)
 		if err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mpmcs4fta/internal/ft"
+	"mpmcs4fta/internal/gen"
 	"mpmcs4fta/internal/obs"
 )
 
@@ -95,6 +96,38 @@ func TestAnalyzeDecomposedMatchesMonolithic(t *testing.T) {
 	// Both report the full Table-I transform over the original events.
 	if len(decomposed.Weights) != tree.NumEvents() {
 		t.Fatalf("weights table has %d rows, want %d", len(decomposed.Weights), tree.NumEvents())
+	}
+}
+
+// TestAnalyzeTopK1MatchesAnalyze: a top-1 query hands the plan it built
+// to the analysis rather than planning twice, and answers exactly as
+// Analyze does.
+func TestAnalyzeTopK1MatchesAnalyze(t *testing.T) {
+	opts := Options{Sequential: true}
+	for seed := int64(1); seed <= 6; seed++ {
+		tree, err := gen.Modular(gen.ModularConfig{Modules: 4, EventsPerModule: 30, AndBias: 0.3, VotingFrac: 0.1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if decompositionPlan(tree, opts.withDefaults()) == nil {
+			t.Fatalf("seed %d: tree has no decomposition plan", seed)
+		}
+		want, err := Analyze(context.Background(), tree, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top, err := AnalyzeTopK(context.Background(), tree, 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := top[0]
+		if g, w := strings.Join(got.CutSetIDs(), ","), strings.Join(want.CutSetIDs(), ","); g != w {
+			t.Errorf("seed %d: top-1 MPMCS %s, Analyze %s", seed, g, w)
+		}
+		if got.Probability != want.Probability || got.LogCost != want.LogCost ||
+			got.Status != want.Status || got.Method != want.Method || got.Solver != want.Solver {
+			t.Errorf("seed %d: top-1 %+v differs from Analyze %+v", seed, got, want)
+		}
 	}
 }
 

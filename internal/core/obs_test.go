@@ -31,15 +31,20 @@ func TestAnalyzeTraceCoversSixSteps(t *testing.T) {
 			t.Errorf("trace missing %q span; got %v", step, names)
 		}
 	}
-	// One engine span per portfolio member, losers included.
+	// One engine span per started portfolio member. The staged race
+	// starts the lead alone, and on FPS it wins inside its slice, so the
+	// siblings never start and leave no span.
 	engineSpans := 0
 	for name, n := range names {
 		if len(name) > 7 && name[:7] == "engine:" {
 			engineSpans += n
 		}
 	}
-	if want := len(Options{}.withDefaults().Engines); engineSpans != want {
-		t.Errorf("got %d engine spans, want %d (every member, including losers)", engineSpans, want)
+	if members := len(Options{}.withDefaults().Engines); engineSpans < 1 || engineSpans > members {
+		t.Errorf("got %d engine spans, want one per started member (1..%d)", engineSpans, members)
+	}
+	if names["engine:"+sol.Solver] != 1 {
+		t.Errorf("no span for the winning engine %q; got %v", sol.Solver, names)
 	}
 
 	// The winning engine's counters must surface in the solution stats.

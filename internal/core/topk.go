@@ -43,7 +43,7 @@ func AnalyzeTopKComplete(ctx context.Context, tree *ft.Tree, k int, opts Options
 		// decomposition; enumeration beyond the first set needs global
 		// blocking clauses and stays monolithic.
 		if plan := decompositionPlan(tree, opts); plan != nil {
-			solution, err := Analyze(ctx, tree, opts)
+			solution, err := analyzePlanned(ctx, tree, opts, plan)
 			if err != nil {
 				return nil, false, err
 			}

@@ -220,3 +220,28 @@ func TestEnginesDeadlineMidSearch(t *testing.T) {
 		})
 	}
 }
+
+// TestSetupStopsWhenCancelled: the SAT-backed engines poll the context
+// while they load an instance, so an engine whose race is already over
+// returns the interruption instead of finishing its setup. The instance
+// is contradictory only in its last two hard clauses: an engine that
+// loaded everything would answer INFEASIBLE.
+func TestSetupStopsWhenCancelled(t *testing.T) {
+	var inst cnf.WCNF
+	inst.NumVars = 2 * setupPollEvery
+	for v := 1; v < inst.NumVars; v++ {
+		inst.AddHard(cnf.Lit(v), cnf.Lit(v+1))
+		inst.AddSoft(1, -cnf.Lit(v))
+	}
+	inst.AddHard(1)
+	inst.AddHard(-1)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, s := range []Solver{&WMSU1{}, &WMSU1{Stratified: true}, &LinearSU{}} {
+		res, err := s.Solve(ctx, inst.Clone())
+		if !errors.Is(err, sat.ErrInterrupted) || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: got %v, %v; want the setup interrupted by the cancelled context", s.Name(), res.Status, err)
+		}
+	}
+}

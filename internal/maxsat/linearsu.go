@@ -44,7 +44,10 @@ func (l *LinearSU) SolveWithProgress(ctx context.Context, inst *cnf.WCNF, prog P
 	var stats obs.SolverStats
 	s := sat.New(inst.NumVars, l.SatOptions)
 	satSecs := liveTelemetry(ctx, &stats, l.Name(), s)
-	for _, c := range inst.Hard {
+	for i, c := range inst.Hard {
+		if err := setupInterrupted(ctx, i); err != nil {
+			return Result{}, err
+		}
 		if !s.AddClause(c...) {
 			return Result{Status: Infeasible}, nil
 		}
@@ -60,7 +63,10 @@ func (l *LinearSU) SolveWithProgress(ctx context.Context, inst *cnf.WCNF, prog P
 		order []cnf.Lit // budget literals in first-use order
 		total int64
 	)
-	for _, soft := range inst.Soft {
+	for i, soft := range inst.Soft {
+		if err := setupInterrupted(ctx, i); err != nil {
+			return Result{}, err
+		}
 		sum, okAdd := cnf.AddWeights(total, soft.Weight)
 		if !okAdd {
 			return Result{}, fmt.Errorf("maxsat: total soft weight overflows int64")

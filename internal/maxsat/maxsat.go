@@ -163,6 +163,26 @@ func verifyResult(inst *cnf.WCNF, res Result) (Result, error) {
 	return res, nil
 }
 
+// setupPollEvery is how many clauses an engine loads into its SAT
+// solver between context polls. Loading a large instance takes
+// milliseconds with no SAT call to notice a cancellation, and a
+// portfolio member that joins a race late is often still loading when
+// a sibling wins.
+const setupPollEvery = 256
+
+// setupInterrupted polls ctx before the i-th clause an engine loads
+// (every setupPollEvery-th, starting with the first) and returns the
+// interruption error once ctx is done.
+func setupInterrupted(ctx context.Context, i int) error {
+	if i%setupPollEvery != 0 {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("%w: %w", sat.ErrInterrupted, err)
+	}
+	return nil
+}
+
 // Registry names of the live solver distributions engines record when
 // an obs.Metrics travels in the context (obs.ContextWithMetrics).
 const (

@@ -66,14 +66,20 @@ func (w *WMSU1) SolveWithProgress(ctx context.Context, inst *cnf.WCNF, prog Prog
 		return Result{}, fmt.Errorf("maxsat: %w", err)
 	}
 	s := sat.New(inst.NumVars, w.SatOptions)
-	for _, c := range inst.Hard {
+	for i, c := range inst.Hard {
+		if err := setupInterrupted(ctx, i); err != nil {
+			return Result{}, err
+		}
 		if !s.AddClause(c...) {
 			return Result{Status: Infeasible}, nil
 		}
 	}
 
 	softs := make([]wmsu1Soft, 0, len(inst.Soft))
-	for _, soft := range inst.Soft {
+	for i, soft := range inst.Soft {
+		if err := setupInterrupted(ctx, i); err != nil {
+			return Result{}, err
+		}
 		sel := cnf.Lit(s.AddVars(1))
 		clause := append(append(cnf.Clause{}, soft.Clause...), sel)
 		if !s.AddClause(clause...) {

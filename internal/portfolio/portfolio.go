@@ -5,6 +5,13 @@
 // good at some instances and not that good at others"; running a diverse
 // portfolio gives stable behaviour across instance families.
 //
+// The race is staged, because on most instances it is overhead: the
+// lead engine (the first one, wmsu1 in DefaultEngines) runs alone for
+// a short slice, and the other engines join only if it has not
+// finished by then or has returned without a definitive answer. When
+// the lead wins inside its slice the others never start; they are
+// reported as cancelled and never started, with no trace span.
+//
 // The race is cooperative: a shared bound manager (Bounds) relays every
 // engine's improving models and proven lower bounds to its siblings, so
 // LinearSU tightens its budget from the global incumbent, BranchBound
@@ -15,9 +22,10 @@
 // Feasible, with an optimality gap) instead of failing.
 //
 // Observability: when the caller's context carries a tracing span (see
-// obs.ContextWithSpan), Solve records one child span per engine with
-// the engine's solver counters, and every EngineReport carries the
-// engine's obs.SolverStats — including losers and cancelled members.
+// obs.ContextWithSpan), Solve records one child span per started
+// engine with the engine's solver counters, and every started engine's
+// EngineReport carries its obs.SolverStats — losers and cancelled
+// members included.
 // Report.Coop summarises the cross-engine bound traffic.
 package portfolio
 
@@ -61,7 +69,8 @@ type EngineReport struct {
 	Completed bool // finished with a definitive answer
 	// Cancelled marks an engine that was stopped by the race — a
 	// sibling won, the shared bounds met, or the parent context expired
-	// — not a real failure. Err names the cause.
+	// — not a real failure, including a staged engine the race ended
+	// before it started (Elapsed 0). Err names the cause.
 	Cancelled bool
 	Err       string // non-empty when the engine failed or was cancelled
 	// Status is the engine's own answer (Feasible for an anytime
@@ -72,7 +81,8 @@ type EngineReport struct {
 	Cost       int64
 	LowerBound int64
 	// Stats reports the engine's solver counters and bound trajectory,
-	// populated for winners, losers and cancelled members alike.
+	// populated for winners, losers and cancelled members alike (zero
+	// for a member that never started).
 	Stats obs.SolverStats
 }
 
@@ -123,10 +133,40 @@ func cancelledBySibling(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// Solve runs all engines concurrently on (copies of) the instance,
-// cooperating through a shared bound manager, and returns the first
-// definitive result; the remaining engines are cancelled and awaited
-// before returning, so no goroutines outlive the call.
+// leadSlice is how long the lead engine (engines[0]) runs alone before
+// its siblings join the race. On the median instance the lead finishes
+// well inside it, so the siblings never pay for their instance clones
+// and SAT setup on a CPU the lead needs; on the hard tail, where the
+// lead stalls and the race is what rescues the instance, they join
+// only this late. Longer slices measured worse on that tail (30 ms
+// more than doubled the worst top-k enumeration on a 2-core machine).
+const leadSlice = 10 * time.Millisecond
+
+// leadSliceFor caps leadSlice at half the time left before ctx's
+// deadline, so a short budget (decomposition carves per-module budgets
+// down to tens of milliseconds) still leaves the full race time to run.
+func leadSliceFor(ctx context.Context) time.Duration {
+	slice := leadSlice
+	if deadline, ok := ctx.Deadline(); ok {
+		slice = min(slice, time.Until(deadline)/2)
+	}
+	return slice
+}
+
+// Solve races the engines on (copies of) the instance, cooperating
+// through a shared bound manager, and returns the first definitive
+// result; the remaining engines are cancelled and awaited before
+// returning, so no goroutines outlive the call.
+//
+// The race is staged. The lead engine, engines[0], runs alone for a
+// short slice (leadSlice, at most half the time left before the
+// context's deadline). The other engines start only when the slice
+// ends, or at once when the lead returns without a definitive answer,
+// and then attach to the same bound manager, so they begin from the
+// lead's incumbent and lower bound. When the lead wins — or the race
+// is otherwise over — before they start, they never start: they are
+// reported as Cancelled with Elapsed 0, an Err saying so, and no
+// engine span or lifecycle events.
 //
 // When no engine finishes definitively — deadline, cancellation, or the
 // shared bounds meeting first — Solve synthesizes the best anytime
@@ -161,10 +201,14 @@ func Solve(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result
 	start := time.Now()
 
 	var wg sync.WaitGroup
-	for i, engine := range engines {
+	// launch starts engines[index] on its own clone of the instance,
+	// made on the engine's goroutine: only started engines pay for one,
+	// and cloning never holds up the collector below.
+	launch := func(index int) {
+		e := engines[index]
 		wg.Add(1)
-		span := parent.StartSpan("engine:" + engine.Name)
-		go func(index int, e Engine, copyInst *cnf.WCNF, span obs.Span) {
+		span := parent.StartSpan("engine:" + e.Name)
+		go func(span obs.Span) {
 			defer wg.Done()
 			engineCtx := runCtx
 			if telemetryOn {
@@ -174,7 +218,7 @@ func Solve(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result
 				bus.Publish(obs.EngineStarted{Engine: e.Name})
 			}
 			t0 := time.Now()
-			res, err := solveIsolated(engineCtx, e.Solver, copyInst, bounds.ForEngine(e.Name))
+			res, err := solveIsolated(engineCtx, e.Solver, inst.Clone(), bounds.ForEngine(e.Name))
 			if bus.Enabled() {
 				finished := obs.EngineFinished{
 					Engine:     e.Name,
@@ -189,7 +233,7 @@ func Solve(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result
 			}
 			recordEngineSpan(span, res, err)
 			results <- indexed{index: index, outcome: outcome{result: res, err: err, elapsed: time.Since(t0)}}
-		}(i, engine, inst.Clone(), span)
+		}(span)
 	}
 
 	report := Report{Engines: make([]EngineReport, len(engines))}
@@ -199,15 +243,42 @@ func Solve(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result
 
 	outcomes := make([]*outcome, len(engines))
 	winner := -1
-	for received := 0; received < len(engines); received++ {
-		ind := <-results
-		out := ind.outcome
-		outcomes[ind.index] = &out
-		if out.err == nil && out.result.Status.Definitive() && winner < 0 {
-			winner = ind.index
-			report.Winner = engines[ind.index].Name
-			report.Elapsed = time.Since(start)
-			cancel() // stop the stragglers
+	launch(0)
+	launched := 1
+	slice := time.NewTimer(leadSliceFor(ctx))
+	defer slice.Stop()
+	sliceEnd := slice.C // nil once the siblings' start has been decided
+	// joinSiblings starts the other engines, unless the race is already
+	// over: this goroutine alone records the winner and cancels, so a
+	// lead that won is always known here before any sibling could start.
+	joinSiblings := func() {
+		sliceEnd = nil
+		if winner >= 0 || runCtx.Err() != nil {
+			return
+		}
+		for ; launched < len(engines); launched++ {
+			launch(launched)
+		}
+	}
+	for received := 0; received < launched; {
+		select {
+		case ind := <-results:
+			received++
+			out := ind.outcome
+			outcomes[ind.index] = &out
+			if out.err == nil && out.result.Status.Definitive() && winner < 0 {
+				winner = ind.index
+				report.Winner = engines[ind.index].Name
+				report.Elapsed = time.Since(start)
+				cancel() // stop the stragglers
+			}
+			if sliceEnd != nil {
+				// The lead returned within its slice: a win ends the
+				// race, anything else brings the siblings in at once.
+				joinSiblings()
+			}
+		case <-sliceEnd:
+			joinSiblings()
 		}
 	}
 	wg.Wait()
@@ -223,6 +294,11 @@ func Solve(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result
 	var firstErr error
 	for i, out := range outcomes {
 		rep := &report.Engines[i]
+		if out == nil {
+			rep.Cancelled = true
+			rep.Err = cancelCause(winner >= 0, boundsClosed, parentDead) + " (never started)"
+			continue
+		}
 		rep.Elapsed = out.elapsed
 		// Retag under the portfolio's registered name: standalone engines
 		// only know their algorithm name, and diversified variants
@@ -266,7 +342,7 @@ func Solve(ctx context.Context, inst *cnf.WCNF, engines []Engine) (maxsat.Result
 	// tightens the gap, possibly all the way to a cooperative Optimal.
 	best := -1
 	for i, out := range outcomes {
-		if out.err != nil || out.result.Status != maxsat.Feasible {
+		if out == nil || out.err != nil || out.result.Status != maxsat.Feasible {
 			continue
 		}
 		if best < 0 || out.result.Cost < outcomes[best].result.Cost {
